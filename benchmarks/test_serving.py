@@ -82,9 +82,7 @@ def session():
     db = Database([generate_flat_table("flat", ROWS, seed=83, **SPEC)])
     # Serial engine options: serving concurrency should come from the
     # handler threads, not from nested piece-execution pools.
-    session = AQPSession(
-        db, options=ExecutionOptions(executor="serial", chunk_rows=4096)
-    )
+    session = AQPSession(db, options=ExecutionOptions(chunk_rows=4096))
     session.install(
         SmallGroupSampling(
             SmallGroupConfig(base_rate=0.05, use_reservoir=False, seed=9)

@@ -171,17 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help=(
-            "backend for scattering independent work: worker threads "
-            "(default), worker processes with shared-memory zero-copy "
-            "columns (true multi-core for GIL-bound workloads), or a "
-            "forced serial loop; answers are identical for any choice"
-        ),
-    )
-    parser.add_argument(
         "--chunk-selection",
         action="store_true",
         help=(
@@ -462,7 +451,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             max_workers=args.max_workers,
             chunk_rows=args.chunk_rows,
             data_skipping=not args.no_skipping,
-            executor=args.executor,
             chunk_selection=args.chunk_selection,
             selection_budget=args.selection_budget,
             selection_seed=args.selection_seed,

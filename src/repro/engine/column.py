@@ -332,25 +332,3 @@ class Column:
         if isinstance(value, str):
             raise ColumnTypeError("numeric column compared against str")
         return value
-
-
-def column_from_parts(
-    kind: ColumnKind,
-    data: np.ndarray,
-    dictionary: tuple[str, ...] | None,
-) -> Column:
-    """Reassemble a column from already-validated parts, without copying.
-
-    Trusted fast path for the shared-memory arena
-    (:mod:`repro.engine.procpool`): the parts came out of a real
-    :class:`Column` in the parent process, so the constructor's dtype
-    coercion and string-code range scan (an O(n) min/max over the whole
-    array) would re-validate what is known-good — and ``astype`` would
-    copy the zero-copy shared view it exists to avoid.
-    """
-    column = Column.__new__(Column)
-    column.kind = kind
-    column.data = data
-    column.dictionary = dictionary
-    column._dictionary_index = None
-    return column

@@ -522,7 +522,7 @@ class SketchStore:
             return len(self._slots)
 
 
-#: Process-wide sketch store; worker processes build their own at import.
+#: Process-wide sketch store.
 _GLOBAL_STORE = SketchStore()
 
 
@@ -532,13 +532,7 @@ def get_sketch_store() -> SketchStore:
 
 
 def reset_sketch_store() -> None:
-    """Replace the store wholesale (forked pool workers; tests).
-
-    A forked child inherits the parent's store — possibly mid-mutation
-    with the lock held — so, like the execution cache in
-    :mod:`repro.engine.procpool`, workers swap in a fresh object rather
-    than trusting inherited state.
-    """
+    """Replace the store wholesale with an empty one (tests)."""
     global _GLOBAL_STORE
     _GLOBAL_STORE = SketchStore()
 
@@ -601,9 +595,8 @@ class ChunkSelectionPlan:
     ``chunk_indices[i]`` was drawn with first-order inclusion probability
     ``probabilities[i]``; ``verdicts[i]`` is its zone-map verdict (so the
     executor can skip mask evaluation for proven-ALL_TRUE chunks).  The
-    plan is a plain picklable value: for the process backend it is
-    computed once in the parent and shipped with the piece payload, so
-    every backend executes the *same* draw.
+    plan is a plain value computed once, serially, before the pieces
+    scatter, so every worker count executes the *same* draw.
     """
 
     chunk_indices: tuple[int, ...]

@@ -142,24 +142,6 @@ def collect_column_stats(
     return retained
 
 
-def _histogram_chunk(handles: tuple, start: int, stop: int) -> list[dict[Any, int]]:
-    """Process-pool task: per-column value histograms for one row chunk.
-
-    ``handles`` are :class:`~repro.engine.procpool.ArrayHandle`
-    descriptors of the candidate columns' raw arrays; the raw-value keys
-    come back via ``.tolist()`` exactly as in the in-process closure, so
-    the merged counts are identical under either backend.
-    """
-    from repro.engine import procpool
-
-    out: list[dict[Any, int]] = []
-    for handle in handles:
-        data = procpool.resolve_array(handle)
-        values, counts = np.unique(data[start:stop], return_counts=True)
-        out.append(dict(zip(values.tolist(), counts.tolist())))
-    return out
-
-
 def _collect_column_stats_chunked(
     table: Table,
     columns: list[str],
@@ -172,30 +154,14 @@ def _collect_column_stats_chunked(
     if not cols:
         return {}
 
-    use_processes = options.uses_processes
-    if use_processes:
-        from repro.engine import procpool
+    def _histograms(start: int, stop: int) -> list[dict[Any, int]]:
+        out: list[dict[Any, int]] = []
+        for _, col in cols:
+            values, counts = np.unique(col.data[start:stop], return_counts=True)
+            out.append(dict(zip(values.tolist(), counts.tolist())))
+        return out
 
-        use_processes = not procpool.in_worker()
-
-    if use_processes:
-        arena = procpool.get_arena()
-        handles = tuple(arena.publish_array(col.data) for _, col in cols)
-        chunks = procpool.process_map_row_chunks(
-            _histogram_chunk, handles, table.n_rows, options
-        )
-    else:
-
-        def _histograms(start: int, stop: int) -> list[dict[Any, int]]:
-            out: list[dict[Any, int]] = []
-            for _, col in cols:
-                values, counts = np.unique(
-                    col.data[start:stop], return_counts=True
-                )
-                out.append(dict(zip(values.tolist(), counts.tolist())))
-            return out
-
-        chunks = map_row_chunks(_histograms, table.n_rows, options)
+    chunks = map_row_chunks(_histograms, table.n_rows, options)
 
     merged: list[dict[Any, int]] = [{} for _ in cols]
     for chunk in chunks:

@@ -17,10 +17,7 @@ the function worker-reachable, because "why is this a pool task?" is
 the first question the report has to answer.
 
 Mutations lexically inside a ``with <lock>:`` region are exempt, same
-as RL007 — but note the thread/process asymmetry the message encodes:
-under the *process* backend a lock does not even help, the mutation is
-simply lost in the forked child (the parent never sees it), which is
-its own silent-wrong-answer bug.
+as RL007.
 """
 
 from __future__ import annotations
@@ -41,12 +38,6 @@ from repro.lint.rules.rl007_shared_state import (
 
 #: ``path::symbol`` entries reviewed as safe; reasons are mandatory.
 ALLOWLIST: dict[str, str] = {
-    # Builds a brand-new Column and fills .data/.dictionary before any
-    # other code can see the object; same publication argument as the
-    # __init__ exemption (and as RL008's entry for this function).
-    "repro/engine/column.py::column_from_parts": (
-        "mutates only the Column it just constructed, pre-publication"
-    ),
     # The serving append path (the only server-thread chain that reaches
     # these) holds AQPServer's writer-preferring RW lock exclusively:
     # _handle_append wraps session.append_rows in write_locked(), so no
@@ -133,10 +124,9 @@ class TransitiveSharedStateMutation(Rule):
                 info.ctx,
                 node,
                 f"mutates shared state {target!r} in a function reachable "
-                f"from a pool submission ({chain}); on the thread backend "
-                "this races, on the process backend the write is silently "
-                "lost in the fork — hoist the mutation to the serial "
-                "head/tail around the scatter",
+                f"from a pool submission ({chain}); this races with sibling "
+                "tasks — hoist the mutation to the serial head/tail around "
+                "the scatter",
             )
 
     @staticmethod

@@ -15,6 +15,14 @@ class TestParser:
         assert args.ids == ["4"]
         assert args.quick
 
+    def test_max_workers_is_the_only_backend_knob(self):
+        # --max-workers alone picks serial (1) or the thread pool (> 1);
+        # the old --executor flag is an unknown argument.
+        args = build_parser().parse_args(["--max-workers", "4", "list"])
+        assert args.max_workers == 4
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--executor", "thread", "list"])
+
 
 class TestList:
     def test_lists_every_figure(self, capsys):

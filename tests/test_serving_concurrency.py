@@ -13,9 +13,9 @@ contracts:
 * **Replay equality** — after the storm, the final approximate and
   exact answers are byte-identical to a fresh serial session replaying
   the same appends in the same order with no concurrency at all.
-* Swept across the ``serial`` and ``thread`` piece-execution backends:
-  the serving layer's locking must compose with the engine's own
-  parallelism.
+* Swept across ``max_workers`` ∈ {1, 2, 4, 8} (1 executes pieces
+  serially, more scatter them on the thread pool): the serving layer's
+  locking must compose with the engine's own parallelism.
 """
 
 from __future__ import annotations
@@ -97,11 +97,9 @@ def _serial_replay(options: ExecutionOptions) -> tuple[str, str]:
         session.close()
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_append_vs_read_storm(executor):
-    options = ExecutionOptions(
-        executor=executor, chunk_rows=CHUNK_ROWS, max_workers=2
-    )
+@pytest.mark.parametrize("max_workers", [1, 2, 4, 8])
+def test_append_vs_read_storm(max_workers):
+    options = ExecutionOptions(chunk_rows=CHUNK_ROWS, max_workers=max_workers)
     baseline = _serial_replay(options)
 
     session = _new_session(options)
@@ -175,7 +173,7 @@ def test_append_vs_read_storm(executor):
         # serial replay of the same appends.
         assert _final_answers(session) == baseline, (
             f"post-storm answers drifted from serial replay "
-            f"(executor={executor})"
+            f"(max_workers={max_workers})"
         )
     finally:
         done.set()
