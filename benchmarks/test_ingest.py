@@ -33,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import selection as sel
 from repro.engine.cache import get_cache
 from repro.engine.column import Column
 from repro.engine.database import Database
@@ -81,7 +80,6 @@ def _query(ordinal: int):
 def _append_stream(incremental: bool) -> dict:
     """Run the racing workload once; return counters and the final answer."""
     get_cache().clear()
-    sel.reset_sketch_store()
     db = Database([_base_table(ROWS)])
     options = ExecutionOptions(
         chunk_rows=CHUNK_ROWS, incremental_appends=incremental
@@ -153,5 +151,4 @@ def test_ingest():
         out = Path(__file__).resolve().parents[1] / "BENCH_ingest.json"
         out.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         get_cache().clear()
-        sel.reset_sketch_store()
         shutdown_pool()

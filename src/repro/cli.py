@@ -171,41 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--chunk-selection",
-        action="store_true",
-        help=(
-            "PS3-style weighted chunk selection on approximate scans: "
-            "draw a budgeted chunk subset scored from the zone maps and "
-            "reweight with Horvitz-Thompson inverse-inclusion weights; "
-            "changes approximate answers (trades rows touched for "
-            "variance), never exact ones; deterministic for a fixed "
-            "seed+budget at any worker count"
-        ),
-    )
-    parser.add_argument(
-        "--selection-budget",
-        type=int,
-        default=65536,
-        help=(
-            "rows-touched budget per piece for --chunk-selection; the "
-            "draw only engages when the eligible rows exceed it"
-        ),
-    )
-    parser.add_argument(
-        "--selection-seed",
-        type=int,
-        default=0,
-        help="seed for the --chunk-selection weighted draw",
-    )
-    parser.add_argument(
         "--no-incremental-appends",
         action="store_true",
         help=(
             "disable incremental append maintenance: append_rows falls "
             "back to fully invalidating derived structures (zone maps, "
-            "word summaries, provenance sketches, reservoir state) "
-            "instead of extending them; answers are byte-identical "
-            "either way"
+            "word summaries, reservoir state) instead of extending them; "
+            "answers are byte-identical either way"
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -451,9 +423,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             max_workers=args.max_workers,
             chunk_rows=args.chunk_rows,
             data_skipping=not args.no_skipping,
-            chunk_selection=args.chunk_selection,
-            selection_budget=args.selection_budget,
-            selection_seed=args.selection_seed,
             incremental_appends=not args.no_incremental_appends,
         )
     )
@@ -614,24 +583,14 @@ def _run_stats(args) -> int:
             for kind, c in sorted(kinds.items())
         ]
         print(format_table(["cache kind", "hits", "misses", "rate"], rows))
-    # Chunk-selection summary: always printed (zeros included) so a run
-    # can confirm the sketch/selection machinery did or did not engage.
     counter = get_registry().counter
-    print(
-        "selection: "
-        f"sketch_hits={counter('selection.sketch_hits'):g} "
-        f"sketch_misses={counter('selection.sketch_misses'):g} "
-        f"plans={counter('selection.plans'):g} "
-        f"chunks_selected={counter('selection.chunks_selected'):g}"
-        f"/{counter('selection.chunks_eligible'):g} eligible"
-    )
-    # Incremental-ingestion summary, same always-printed discipline.
+    # Incremental-ingestion summary: always printed (zeros included) so a
+    # run can confirm append maintenance did or did not engage.
     print(
         "ingest: "
         f"events={counter('ingest.events'):g} "
         f"chunks_extended={counter('ingest.chunks_extended'):g} "
         f"chunks_recomputed={counter('ingest.chunks_recomputed'):g} "
-        f"sketches_retained={counter('ingest.sketches_retained'):g} "
         f"reservoir_updates={counter('ingest.reservoir_updates'):g}"
     )
     if args.json is not None:

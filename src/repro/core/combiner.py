@@ -23,7 +23,7 @@ statistics).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.answer import ApproxAnswer, GroupEstimate, GroupKey
 from repro.core.rewriter import SamplePiece, pieces_to_sql
@@ -39,7 +39,6 @@ from repro.engine.parallel import (
     parallel_map,
     resolve_options,
 )
-from repro.engine.selection import ChunkSelectionPlan, plan_chunk_selection
 from repro.engine.zonemap import (
     PieceSkipStats,
     SkipReport,
@@ -151,7 +150,6 @@ def _execute_one_piece(
         PieceSkipStats,
         ExecutionOptions,
         Span,
-        "ChunkSelectionPlan | None",
         "Deadline | None",
     ],
 ):
@@ -162,8 +160,7 @@ def _execute_one_piece(
     cache (both thread-safe) and mutates no shared engine state — the
     property lint rule RL007 enforces for everything submitted to the
     pool.  The skip-stats and span objects it fills in are freshly
-    allocated per piece and owned by this task alone.  The selection
-    plan (if any) was computed serially before the scatter, so the drawn chunk subset never depends on pool timing.
+    allocated per piece and owned by this task alone.
 
     The deadline (if any) is checked once at the head of the task: an
     expired request stops starting new pieces (serially: the
@@ -172,7 +169,7 @@ def _execute_one_piece(
     is a pure, answer-neutral operation — a piece either runs
     identically to an unbounded run or raises.
     """
-    piece, exec_query, stats, options, piece_span, plan, deadline = item
+    piece, exec_query, stats, options, piece_span, deadline = item
     if deadline is not None:
         deadline.check(f"piece {stats.description}")
     with piece_span:
@@ -186,7 +183,6 @@ def _execute_one_piece(
             options=options,
             skip_stats=stats,
             span=piece_span,
-            selection_plan=plan,
         )
 
 
@@ -265,16 +261,8 @@ def execute_pieces(
     # as ``rows_touched`` in the skip report instead.
     skip_report = SkipReport(enabled=options.data_skipping)
     span.annotate(pieces=len(exec_pieces))
-    # Budgeted chunk-selection plans are drawn here, serially and in
-    # piece-index order, at every worker count: a plan drawn inside a pool
-    # task would see whatever sketch history concurrent siblings had
-    # already recorded, making the chunk draw depend on scheduling.  The
-    # pieces then run with ``chunk_selection`` off so no task re-plans.
-    piece_options = options
-    if options.chunk_selection:
-        piece_options = replace(options, chunk_selection=False)
     piece_results: list[GroupedResult | None] = [None] * len(exec_pieces)
-    submitted: list[tuple[int, tuple[SamplePiece, Query, PieceSkipStats, ExecutionOptions, Span, ChunkSelectionPlan | None, Deadline | None]]] = []
+    submitted: list[tuple[int, tuple[SamplePiece, Query, PieceSkipStats, ExecutionOptions, Span, Deadline | None]]] = []
     for idx, (piece, exec_query) in enumerate(exec_pieces):
         if deadline is not None:
             deadline.check("piece planning")
@@ -300,9 +288,6 @@ def execute_pieces(
                 rows={},
             )
             continue
-        plan = None
-        if options.chunk_selection and not piece.zero_variance:
-            plan = plan_chunk_selection(piece.table, exec_query.where, options)
         submitted.append(
             (
                 idx,
@@ -310,9 +295,8 @@ def execute_pieces(
                     piece,
                     exec_query,
                     stats,
-                    piece_options,
+                    options,
                     piece_span,
-                    plan,
                     deadline,
                 ),
             )

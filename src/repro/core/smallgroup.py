@@ -90,7 +90,7 @@ class SmallGroupConfig:
         Extra sampling levels as ``(fraction, rate)`` pairs beyond the
         default ``((t, 1.0),)``.  Fractions are cumulative coverage
         targets; rates are the per-level sampling rates.  Example for the
-        paper's three-level sketch: ``((t, 1.0), (4*t, 0.1))``.
+        paper's three-level outline: ``((t, 1.0), (4*t, 0.1))``.
     pair_columns:
         Column pairs to build joint small group tables for.
     max_tables_per_query:

@@ -129,26 +129,6 @@ class SingleFlight:
         with self._lock:
             return len(self._inflight)
 
-#: Callbacks fired (outside the cache lock) whenever an object is
-#: explicitly invalidated.  The provenance-sketch store
-#: (:mod:`repro.engine.selection`) subscribes so that sketches anchored
-#: on a replaced table (``append_rows`` / ``insert_rows`` /
-#: ``drop_table``) are dropped in lockstep with the execution cache's
-#: entries.
-_INVALIDATION_LISTENERS: list[Callable[[Any], None]] = []
-
-
-def add_invalidation_listener(listener: Callable[[Any], None]) -> None:
-    """Subscribe to explicit invalidations on every :class:`ExecutionCache`.
-
-    Listeners receive each object passed to
-    :meth:`ExecutionCache.invalidate_object` (including the per-column
-    and bitmask calls that :meth:`ExecutionCache.invalidate_table` fans
-    out to).  They run on the invalidating thread, outside the cache
-    lock, and must not raise.
-    """
-    _INVALIDATION_LISTENERS.append(listener)
-
 
 @dataclass(frozen=True)
 class AppendEvent:
@@ -156,11 +136,10 @@ class AppendEvent:
 
     Emitted *before* the old table is invalidated, so consumers can
     migrate derived state from the old objects onto the new ones (zone
-    maps, bitmask word summaries, provenance sketches)
-    instead of rebuilding from scratch on the next query.  The old
-    objects are still live while listeners run; the subsequent
-    ``invalidate_table(old)`` then only drops whatever stayed anchored
-    on them.
+    maps, bitmask word summaries) instead of rebuilding from scratch on
+    the next query.  The old objects are still live while listeners run;
+    the subsequent ``invalidate_table(old)`` then only drops whatever
+    stayed anchored on them.
 
     ``columns`` pairs every column name with its old and new
     :class:`~repro.engine.column.Column` object.  ``Table.concat``
@@ -180,16 +159,15 @@ class AppendEvent:
     new_bitmask: Any = None
 
 
-#: Callbacks fired for every :class:`AppendEvent` — the delta-maintenance
-#: sibling of the invalidation channel.  Same contract: listeners run on
-#: the appending thread, outside any cache lock, and must not raise.
+#: Callbacks fired for every :class:`AppendEvent`.  Listeners run on the
+#: appending thread, outside any cache lock, and must not raise.
 _APPEND_LISTENERS: list[Callable[[AppendEvent], None]] = []
 
 
 def add_append_listener(listener: Callable[[AppendEvent], None]) -> None:
     """Subscribe to append events (see :class:`AppendEvent`).
 
-    Consumers (zone maps, the sketch store) use the event to *extend*
+    Consumers (the zone maps) use the event to *extend*
     derived structures for the appended tail rather than dropping them;
     the invalidation that follows the event then finds nothing left
     anchored on the old objects.
@@ -217,10 +195,7 @@ def notify_append(event: AppendEvent) -> None:
 class CacheMetrics:
     """Hit/miss counters per cache kind (``group_ids``, ``join_positions``,
     ``predicate_mask``, ``column_codes``, ``joined_column``, ``zone_map``,
-    ``zone_map_bitmask``, ``sql_parse``, ``plan``,
-    ``provenance_sketch`` ...).  The last is recorded by the sketch store
-    (:mod:`repro.engine.selection`), which shares this metrics surface
-    even though its entries live outside :class:`ExecutionCache`.
+    ``zone_map_bitmask``, ``sql_parse``, ``plan`` ...).
 
     Counter updates take a private lock: dict read-modify-write is not
     atomic under free-running threads, and the thread-safety contract of
@@ -494,12 +469,7 @@ class ExecutionCache:
     # Invalidation
     # ------------------------------------------------------------------
     def invalidate_object(self, obj: Any) -> int:
-        """Drop every entry anchored on ``obj``; returns entries dropped.
-
-        Invalidation listeners fire regardless of how many entries were
-        anchored here: the sketch store may hold slots for objects the
-        cache never cached.
-        """
+        """Drop every entry anchored on ``obj``; returns entries dropped."""
         with self._lock:
             keys = self._anchor_keys.get(id(obj))
             dropped = 0
@@ -512,8 +482,6 @@ class ExecutionCache:
                     dropped += 1
         if dropped:
             self.metrics.record_invalidations(dropped)
-        for listener in _INVALIDATION_LISTENERS:
-            listener(obj)
         return dropped
 
     def invalidate_table(self, table: Any) -> int:
@@ -564,7 +532,6 @@ __all__ = [
     "ExecutionCache",
     "SingleFlight",
     "add_append_listener",
-    "add_invalidation_listener",
     "execution_cache_metrics",
     "get_cache",
     "notify_append",

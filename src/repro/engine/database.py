@@ -164,13 +164,13 @@ class Database:
         The stored table is replaced wholesale by the concatenation.
         With ``options.incremental_appends`` (the default), a structured
         :class:`~repro.engine.cache.AppendEvent` is emitted *first*:
-        listeners migrate derived structures — per-chunk zone maps,
-        bitmask word summaries, provenance sketches — from the old
-        objects to the new ones, extending them for the appended tail
-        instead of rebuilding from scratch.  The explicit
-        ``invalidate_table(old)`` that follows then drops only what
-        stayed anchored on the old objects (predicate masks, group ids,
-        join positions — artifacts whose values genuinely changed).
+        listeners migrate derived structures — per-chunk zone maps and
+        bitmask word summaries — from the old objects to the new ones,
+        extending them for the appended tail instead of rebuilding from
+        scratch.  The explicit ``invalidate_table(old)`` that follows
+        then drops only what stayed anchored on the old objects
+        (predicate masks, group ids, join positions — artifacts whose
+        values genuinely changed).
         Returns the new table.
 
         With the flag off — or for degenerate appends (empty table or

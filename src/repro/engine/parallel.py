@@ -78,29 +78,12 @@ class ExecutionOptions:
         summaries (see :mod:`repro.engine.zonemap`) to skip chunks a
         predicate provably cannot match.  Answers are byte-identical
         either way; the flag exists for benchmarking and debugging.
-    chunk_selection:
-        Opt-in PS3-style budgeted chunk selection (see
-        :mod:`repro.engine.selection`): approximate sample pieces draw a
-        weighted without-replacement subset of their surviving chunks
-        under ``selection_budget`` and Horvitz–Thompson-reweight the
-        aggregates so estimates stay unbiased.  Unlike ``data_skipping``
-        this changes (approximate) answers — it trades rows touched for
-        variance — so it is off by default.  Exact execution paths
-        ignore it.
-    selection_budget:
-        Approximate row budget per table scan when ``chunk_selection``
-        is on.  Selection only engages when the budget is actually
-        binding (eligible rows exceed it); otherwise the full scan runs
-        and answers are identical to ``chunk_selection=False``.
-    selection_seed:
-        Seed for the selection draw.  Fixed seed + fixed budget →
-        byte-identical answers at any ``max_workers``.
     incremental_appends:
         Whether ``Database.append_rows`` emits a structured append event
         (:class:`repro.engine.cache.AppendEvent`) so derived structures
-        — zone maps, bitmask word summaries, provenance sketches — are
-        *extended* for the appended tail instead of dropped and rebuilt
-        from scratch on the next query.  Answers are byte-identical
+        — zone maps and bitmask word summaries — are *extended* for the
+        appended tail instead of dropped and rebuilt from scratch on the
+        next query.  Answers are byte-identical
         either way (the extend paths reuse a per-chunk summary only when
         the chunk's row range is provably unchanged); the flag is the
         ``--no-incremental-appends`` escape hatch for benchmarking the
@@ -111,9 +94,6 @@ class ExecutionOptions:
     max_workers: int = 1
     chunk_rows: int = 65536
     data_skipping: bool = True
-    chunk_selection: bool = False
-    selection_budget: int = 65536
-    selection_seed: int = 0
     incremental_appends: bool = True
 
     def __post_init__(self) -> None:
@@ -124,14 +104,6 @@ class ExecutionOptions:
         if self.chunk_rows < 1:
             raise QueryError(
                 f"chunk_rows must be >= 1, got {self.chunk_rows}"
-            )
-        if self.selection_budget < 1:
-            raise QueryError(
-                f"selection_budget must be >= 1, got {self.selection_budget}"
-            )
-        if self.selection_seed < 0:
-            raise QueryError(
-                f"selection_seed must be >= 0, got {self.selection_seed}"
             )
 
     @property

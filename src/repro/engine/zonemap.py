@@ -598,23 +598,6 @@ class PieceSkipStats:
     rows_touched: int = 0
     pruned: bool = False
     mask_cached: bool = False
-    #: WHERE mask assembled from a dominating provenance sketch — only
-    #: the sketched chunks were evaluated (see repro.engine.selection).
-    sketch_hit: bool = False
-    #: Of the sketched chunks scanned, how many were appended-UNKNOWN:
-    #: chunks a retained sketch marked unverified after ``append_rows``
-    #: (new or boundary-shifted tail chunks), scanned pending their
-    #: first full evaluation.  Counted distinctly so sketch-hit scan
-    #: ratios stay comparable across append-heavy workloads.
-    appended_unknown: int = 0
-    #: PS3-style budgeted chunk selection ran on this piece.
-    selection_applied: bool = False
-    chunks_eligible: int = 0
-    chunks_selected: int = 0
-    #: Horvitz–Thompson row-weight spread of the selected chunks (both 0
-    #: when selection did not apply).
-    ht_weight_min: float = 0.0
-    ht_weight_max: float = 0.0
 
     def observe_chunks(
         self,
@@ -665,21 +648,6 @@ class SkipReport:
     def pieces_pruned(self) -> int:
         return sum(1 for p in self.pieces if p.pruned)
 
-    @property
-    def sketch_hits(self) -> int:
-        """Pieces whose WHERE mask came from a provenance sketch."""
-        return sum(1 for p in self.pieces if p.sketch_hit)
-
-    @property
-    def appended_unknown(self) -> int:
-        """Appended-UNKNOWN chunks scanned under sketch hits (all pieces)."""
-        return sum(p.appended_unknown for p in self.pieces)
-
-    @property
-    def pieces_selected(self) -> int:
-        """Pieces that ran under budgeted chunk selection."""
-        return sum(1 for p in self.pieces if p.selection_applied)
-
     def to_text(self) -> str:
         """Human-readable per-piece rendering (the CLI ``--explain`` body)."""
         state = "on" if self.enabled else "off"
@@ -698,27 +666,6 @@ class SkipReport:
                 lines.append(
                     f"  - {piece.description}: WHERE mask cached "
                     f"(0 rows touched)"
-                )
-                continue
-            if piece.selection_applied:
-                lines.append(
-                    f"  - {piece.description}: chunk selection drew "
-                    f"{piece.chunks_selected} of {piece.chunks_eligible} "
-                    f"eligible chunks (HT weights "
-                    f"{piece.ht_weight_min:.3g}–{piece.ht_weight_max:.3g}), "
-                    f"{piece.rows_touched} rows touched"
-                )
-                continue
-            if piece.sketch_hit:
-                appended = (
-                    f" ({piece.appended_unknown} appended-unknown)"
-                    if piece.appended_unknown
-                    else ""
-                )
-                lines.append(
-                    f"  - {piece.description}: provenance sketch hit — "
-                    f"{piece.chunks_scanned} of {piece.n_chunks} chunks "
-                    f"scanned{appended}, {piece.rows_touched} rows touched"
                 )
                 continue
             if piece.n_chunks == 0:

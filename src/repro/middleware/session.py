@@ -211,13 +211,10 @@ class AQPSession:
     def close(self) -> None:
         """Release session-scoped derived state (idempotent).
 
-        Clears the parse/plan memos and drops every recorded provenance
-        sketch.  The sketch store is process-wide (like the execution
-        cache), so closing one session drops sketches other live
-        sessions may be about to use — that is safe, not wrong: a
-        dropped sketch is re-recorded on the next evaluation.  The worker
-        pool stays up (it is process-wide and shut down atexit, or
-        explicitly via :func:`repro.engine.parallel.shutdown_pool`).
+        Clears the parse/plan memos.  The execution cache and the worker
+        pool stay up (both are process-wide; the pool is shut down
+        atexit, or explicitly via
+        :func:`repro.engine.parallel.shutdown_pool`).
 
         Safe to call more than once — including the implicit second call
         of ``with session: ... finally session.close()`` patterns: only
@@ -230,9 +227,6 @@ class AQPSession:
             self._closed = True
             self._parse_memo.clear()
             self._plan_memo.clear()
-        from repro.engine.selection import get_sketch_store
-
-        get_sketch_store().clear()
 
     def __enter__(self) -> "AQPSession":
         self._require_open()
@@ -267,9 +261,9 @@ class AQPSession:
 
         Routes through :meth:`Database.append_rows` with this session's
         options, so under ``ExecutionOptions.incremental_appends`` (the
-        default) zone maps, word summaries, and provenance sketches are
-        extended incrementally rather than rebuilt.  When the appended table is the fact table and the
-        installed technique advertises incremental maintenance
+        default) zone maps and word summaries are extended incrementally
+        rather than rebuilt.  When the appended table is the fact table
+        and the installed technique advertises incremental maintenance
         (``supports_incremental_maintenance()``), the batch is also fed
         to the technique's ``insert_rows`` so its samples keep tracking
         the base data without a rebuild.  Memoised rewrite plans

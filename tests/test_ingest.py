@@ -10,8 +10,6 @@ Contracts under test:
   prefix is reused, only the changed tail is recomputed, and the
   extended summary is byte-equal to a from-scratch rebuild (aligned and
   misaligned appends, numeric and dictionary columns);
-* provenance sketches are retained across appends with the tail marked
-  appended-UNKNOWN, and EXPLAIN counts those chunks distinctly;
 * any interleaving of appends and queries yields answers byte-identical
   to a fresh session replaying the same appends — at every worker
   count, two chunk layouts, and with the incremental path switched off.
@@ -27,34 +25,23 @@ from repro.datagen.synthetic import (
     generate_flat_table,
 )
 from repro.engine import cache as cache_mod
-from repro.engine import selection as sel
 from repro.engine.bitmask import BitmaskVector
 from repro.engine.cache import get_cache
 from repro.engine.column import Column
 from repro.engine.database import Database
-from repro.engine.executor import execute
 from repro.engine.parallel import ExecutionOptions, chunk_ranges, shutdown_pool
 from repro.engine.reservoir import reservoir_replacements
 from repro.engine.table import Table
-from repro.engine.zonemap import (
-    PieceSkipStats,
-    SkipReport,
-    bitmask_chunk_ors,
-    column_zone_map,
-)
+from repro.engine.zonemap import bitmask_chunk_ors, column_zone_map
 from repro.middleware.session import AQPSession
-from repro.obs.profile import skip_report_dict
 from repro.obs.registry import get_registry
-from repro.sql.parser import parse_query
 
 
 @pytest.fixture(autouse=True)
 def _fresh_state():
     get_cache().clear()
-    sel.reset_sketch_store()
     yield
     get_cache().clear()
-    sel.reset_sketch_store()
 
 
 def counter(name: str) -> float:
@@ -209,73 +196,6 @@ class TestZoneMapExtension:
 
 
 # ----------------------------------------------------------------------
-# Sketch retention + the appended-UNKNOWN accounting
-# ----------------------------------------------------------------------
-def clustered_db(n: int = 400, chunk: int = 50) -> Database:
-    table = Table(
-        "t",
-        {
-            "x": Column.ints(np.arange(n)),
-            "grp": Column.strings(
-                ["abcdefgh"[(i // chunk) % 8] for i in range(n)]
-            ),
-        },
-    )
-    return Database([table])
-
-
-NARROW_SQL = "SELECT COUNT(*) AS cnt FROM t WHERE x BETWEEN 120 AND 280"
-
-
-class TestSketchRetention:
-    def _sketch_stats_after_append(self):
-        db = clustered_db()
-        options = ExecutionOptions(chunk_rows=50)
-        execute(db, parse_query(NARROW_SQL), options=options)
-        retained_before = counter("ingest.sketches_retained")
-        batch = Table(
-            "t",
-            {
-                "x": Column.ints(np.full(100, 200)),
-                "grp": Column.strings(["z"] * 100),
-            },
-        )
-        db.append_rows("t", batch, options=options)
-        assert counter("ingest.sketches_retained") == retained_before + 1
-        stats = PieceSkipStats("t")
-        result = execute(
-            db, parse_query(NARROW_SQL), options=options, skip_stats=stats
-        )
-        return db, options, result, stats
-
-    def test_sketch_survives_append_marking_the_tail_unknown(self):
-        _db, _options, result, stats = self._sketch_stats_after_append()
-        assert stats.sketch_hit
-        assert stats.appended_unknown == 2  # two brand-new tail chunks
-        assert result.rows[()][0] == float(161 + 100)
-
-    def test_explain_counts_appended_unknown_distinctly(self):
-        _db, _options, _result, stats = self._sketch_stats_after_append()
-        report = SkipReport(enabled=True, pieces=[stats])
-        assert report.appended_unknown == 2
-        assert "(2 appended-unknown)" in report.to_text()
-        assert skip_report_dict(report)["pieces"][0]["appended_unknown"] == 2
-
-    def test_next_full_evaluation_clears_the_unknown_marks(self):
-        db, options, _result, stats = self._sketch_stats_after_append()
-        assert stats.appended_unknown == 2
-        # That evaluation re-recorded the sketch with exact chunk
-        # knowledge.  Force the next query back through the sketch fast
-        # path (the predicate-mask cache would otherwise answer it):
-        # nothing is appended-UNKNOWN any more.
-        get_cache().clear()
-        again = PieceSkipStats("t")
-        execute(db, parse_query(NARROW_SQL), options=options, skip_stats=again)
-        assert again.sketch_hit
-        assert again.appended_unknown == 0
-
-
-# ----------------------------------------------------------------------
 # Reservoir delta maintenance
 # ----------------------------------------------------------------------
 class TestReservoirReplacements:
@@ -322,7 +242,6 @@ def make_batch(n_rows, seed):
 
 def _new_session(options):
     get_cache().clear()
-    sel.reset_sketch_store()
     session = AQPSession(make_db(3000), options=options)
     session.install(
         SmallGroupSampling(

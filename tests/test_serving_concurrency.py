@@ -30,7 +30,6 @@ from repro.datagen.synthetic import (
     MeasureSpec,
     generate_flat_table,
 )
-from repro.engine import selection as sel
 from repro.engine.cache import get_cache
 from repro.engine.database import Database
 from repro.engine.parallel import ExecutionOptions
@@ -61,7 +60,6 @@ BATCH_SEEDS = tuple(range(91, 91 + N_BATCHES))
 
 def _new_session(options: ExecutionOptions) -> AQPSession:
     get_cache().clear()
-    sel.reset_sketch_store()
     session = AQPSession(
         Database([generate_flat_table("flat", INITIAL_ROWS, seed=71, **SPEC)]),
         options=options,

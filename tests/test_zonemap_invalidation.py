@@ -34,6 +34,7 @@ from repro.engine.schema import ForeignKey, StarSchema
 from repro.engine.table import Table
 from repro.engine.zonemap import bitmask_chunk_ors, column_zone_map
 from repro.middleware import AQPSession
+from repro.sql.parser import parse_query
 
 OPTIONS = ExecutionOptions(chunk_rows=8, data_skipping=True)
 
@@ -210,6 +211,30 @@ class TestSmallGroupReplacementInvalidation:
         without = session.sql(self.SQL).approx
         assert answer_values(with_skipping) == answer_values(without)
         assert with_skipping.rows_scanned == without.rows_scanned
+
+    def test_insert_rows_sample_maintenance_not_stale(self):
+        db = Database([generate_flat_table("flat", 4000, seed=31, **SPEC)])
+        technique = SmallGroupSampling(
+            SmallGroupConfig(base_rate=0.05, use_reservoir=False, seed=31)
+        )
+        technique.preprocess(db)
+        query = parse_query(
+            "SELECT status, COUNT(*) AS cnt, SUM(amount) AS total "
+            "FROM flat WHERE amount BETWEEN 0.5 AND 50.0 GROUP BY status"
+        )
+        technique.answer(query)  # warms masks and zone maps on the samples
+        technique.insert_rows(generate_flat_table("flat", 1000, seed=77, **SPEC))
+
+        # Staleness oracle: the answer with whatever cache entries
+        # survived the mutation must equal the answer from a cold cache.
+        after = technique.answer(query)
+        get_cache().clear()
+        clean = technique.answer(query)
+        assert set(after.groups) == set(clean.groups)
+        for group, estimates in clean.groups.items():
+            for mine, other in zip(estimates, after.groups[group]):
+                assert other.value == mine.value, group
+                assert other.variance == mine.variance, group
 
 
 class TestDropTableInvalidation:
